@@ -4,8 +4,9 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/test_analysis_perf.py``.
 The acceptance bar from the engine redesign: analysing a 1M-record
 catalog must not materialise whole traces (peak allocation bounded by
 the chunk size, not the run size), multi-process fan-out must beat
-serial wall-clock on a multi-run catalog, and re-analysis of an
-unchanged run must be a pure cache hit.
+serial wall-clock on a multi-run catalog, re-analysis of an unchanged
+run must be a pure cache hit, and the ordered fold's time merge must
+emit whole-chunk blocks rather than a block per record.
 """
 
 import os
@@ -14,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.analysis.engine as engine_module
 from repro.analysis import AnalysisEngine
 from repro.core.experiments import ExperimentResult
 from repro.core.trace import TraceDataset
@@ -67,6 +69,28 @@ def test_streaming_memory_bounded(catalog):
     assert out["metrics"].total_requests == N // RUNS
     # chunk-streaming keeps peak allocation to a fraction of the trace
     assert peak < run_bytes / 2
+
+
+def test_merge_blocks_bounded_by_chunks(catalog, monkeypatch):
+    """A deterministic guard on the merge's block size: the ordered fold
+    over ``run0`` yields at most one block per chunk it decompresses."""
+    counts = {"blocks": 0, "records": 0}
+    original = engine_module.merged_time_blocks
+
+    def counted(*args, **kwargs):
+        for block in original(*args, **kwargs):
+            counts["blocks"] += 1
+            counts["records"] += len(block)
+            yield block
+
+    monkeypatch.setattr(engine_module, "merged_time_blocks", counted)
+    registry = MetricsRegistry()
+    engine = AnalysisEngine(catalog, cache=False, obs=registry)
+    out = engine.analyze("run0", ["arrival"])
+    scanned = registry.counter("analysis.chunks_scanned").value
+    print(f"\nmerge: {counts['blocks']} blocks over {scanned:.0f} chunks")
+    assert out["arrival"].total == counts["records"] == N // RUNS
+    assert 0 < counts["blocks"] <= scanned
 
 
 def test_analyze_serial_wallclock(benchmark, catalog):

@@ -10,9 +10,12 @@ trace:
 * node files fan out across ``multiprocessing`` workers; the partial
   accumulator states merge in sorted node order, which keeps results
   deterministic and equal to the single-process fold;
-* ordered pipelines (inter-arrival) fold a k-way merged, globally
-  time-sorted stream built block-wise from the per-node files — still
-  bounded memory, one sorted block at a time;
+* ordered pipelines (inter-arrival) fold one globally time-sorted
+  stream, merged in-process from the per-node files a chunk at a time:
+  the watermark is the smallest tail among the buffered chunks, and
+  every buffered value up to it is sorted into one block.  Memory stays
+  at one chunk per file plus one merged block, and a run merges in at
+  most as many blocks as it has chunks;
 * finished summaries cache as JSON next to the run manifest
   (``analysis.json``), keyed by pipeline name + version + a file
   signature derived from the chunk index, so re-analysis of an
@@ -88,74 +91,43 @@ def run_signature(infos: Sequence[FileInfo]) -> str:
 
 
 # -- merged time stream -------------------------------------------------------
-class _TimeCursor:
-    """Buffered view over one reader's sorted per-chunk time arrays."""
-
-    __slots__ = ("_blocks", "buffer", "pos")
-
-    def __init__(self, blocks: Iterator[np.ndarray]):
-        self._blocks = blocks
-        self.buffer = np.zeros(0, dtype=np.float64)
-        self.pos = 0
-
-    def refill(self) -> bool:
-        for block in self._blocks:
-            if len(block):
-                self.buffer = np.asarray(block, dtype=np.float64)
-                self.pos = 0
-                return True
-        return False
-
-    @property
-    def head(self) -> float:
-        return self.buffer[self.pos]
-
-
 def merged_time_blocks(readers: Sequence[TraceReader],
                        **predicates) -> Iterator[np.ndarray]:
-    """Globally time-sorted blocks across several sorted trace files.
+    """Globally time-sorted blocks across several sorted trace files,
+    at most one block per chunk read.
 
-    A block-wise k-way merge: repeatedly take the stream with the
-    smallest head and emit its prefix up to the other streams' minimum
-    head (the watermark) — every emitted value is provably <= everything
-    still buffered elsewhere.  Memory stays at one chunk per stream.
+    A watermark merge: the watermark is the smallest *tail* among the
+    streams' buffered chunks.  Each stream is sorted, so every buffered
+    value <= the watermark is <= everything not yet read; the prefixes up
+    to it are cut from every stream and sorted (stably) into one block.
+    The stream whose tail set the watermark drains completely, so the
+    number of blocks is at most the number of chunks read.  Memory stays
+    at one chunk per stream plus one merged block.
     """
-    cursors = []
-    for reader in readers:
-        blocks = (batch["time"] for batch in
-                  reader.iter_arrays(**predicates))
-        cursor = _TimeCursor(blocks)
-        if cursor.refill():
-            cursors.append(cursor)
-    while cursors:
-        lowest = min(cursors, key=lambda c: c.head)
-        others = [c.head for c in cursors if c is not lowest]
-        watermark = min(others) if others else np.inf
-        hi = np.searchsorted(lowest.buffer, watermark, side="right")
-        if hi <= lowest.pos:      # head == watermark: emit at least it
-            hi = lowest.pos + 1
-        yield lowest.buffer[lowest.pos:hi]
-        lowest.pos = int(hi)
-        if lowest.pos >= len(lowest.buffer) and not lowest.refill():
-            cursors.remove(lowest)
+    # compact copies of the time column: the rest of each chunk is freed
+    # at once, and searchsorted never re-copies a strided view
+    streams = [(np.ascontiguousarray(batch["time"], dtype=np.float64)
+                for batch in reader.iter_arrays(**predicates))
+               for reader in readers]
+    live = [(stream, next(stream, None)) for stream in streams]
+    live = [(stream, buffer) for stream, buffer in live if buffer is not None]
+    while live:
+        watermark = min(buffer[-1] for _, buffer in live)
+        parts, rest = [], []
+        for stream, buffer in live:
+            cut = np.searchsorted(buffer, watermark, side="right")
+            parts.append(buffer[:cut])
+            buffer = buffer[cut:] if cut < len(buffer) \
+                else next(stream, None)
+            if buffer is not None:
+                rest.append((stream, buffer))
+        live = rest
+        yield np.sort(np.concatenate(parts), kind="stable")
 
 
-# -- worker tasks (top level: must pickle) ------------------------------------
-def _fold_file(task) -> Tuple[dict, int, int]:
-    """Fold one node file through a set of unordered pipelines."""
-    path, pipelines, predicates, ctx = task
-    accs = {p.name: p.accumulators(ctx) for p in pipelines}
-    with TraceReader(path) as reader:
-        for batch in reader.iter_arrays(**predicates):
-            for group in accs.values():
-                for acc in group.values():
-                    acc.update(batch)
-        return accs, reader.chunks_read, reader.chunk_count
-
-
-def _fold_ordered(task) -> Tuple[dict, int, int]:
+def _fold_ordered(paths, pipelines, predicates,
+                  ctx) -> Tuple[dict, int, int]:
     """Fold a whole run's merged time stream through ordered pipelines."""
-    paths, pipelines, predicates, ctx = task
     accs = {p.name: p.accumulators(ctx) for p in pipelines}
     readers = [TraceReader(p) for p in paths]
     try:
@@ -171,12 +143,26 @@ def _fold_ordered(task) -> Tuple[dict, int, int]:
     return accs, read_chunks, total_chunks
 
 
+# -- worker tasks (top level: must pickle) ------------------------------------
+def _fold_file(task) -> Tuple[dict, int, int]:
+    """Fold one node file through a set of unordered pipelines."""
+    path, pipelines, predicates, ctx = task
+    accs = {p.name: p.accumulators(ctx) for p in pipelines}
+    with TraceReader(path) as reader:
+        for batch in reader.iter_arrays(**predicates):
+            for group in accs.values():
+                for acc in group.values():
+                    acc.update(batch)
+        return accs, reader.chunks_read, reader.chunk_count
+
+
 # -- the engine ---------------------------------------------------------------
 class AnalysisEngine:
     """Run characterization pipelines over stored runs, fast and cached.
 
-    ``workers > 1`` fans the per-node folds (and, under
-    :meth:`analyze_all`, whole runs) out across processes.  ``cache``
+    ``workers > 1`` fans the per-node folds of unordered pipelines out
+    across processes; the ordered fold over a run's merged time stream
+    always runs in this process.  ``cache``
     persists finished summaries in each run directory; analysing an
     unchanged run again never touches a chunk.  Pass an
     :class:`~repro.obs.MetricsRegistry` (or ``ObsRecorder``) as ``obs``
@@ -314,7 +300,7 @@ class AnalysisEngine:
                                                 predicates, ctx, pool))
         if ordered:
             results.update(self._fold_ordered_run(paths, ordered,
-                                                  predicates, ctx, pool))
+                                                  predicates, ctx))
         for pipe in to_compute:
             result = results[pipe.name]
             fresh_entries[_entry_key(pipe, pred_key)] = {
@@ -353,13 +339,10 @@ class AnalysisEngine:
             folded = [_fold_file(task) for task in tasks]
         return self._merge_and_finalize(pipelines, folded, ctx)
 
-    def _fold_ordered_run(self, paths, pipelines, predicates, ctx,
-                          pool) -> Dict[str, object]:
-        task = ([str(path) for path in paths], pipelines, predicates, ctx)
-        if pool is not None:
-            folded = [pool.submit(_fold_ordered, task).result()]
-        else:
-            folded = [_fold_ordered(task)]
+    def _fold_ordered_run(self, paths, pipelines, predicates,
+                          ctx) -> Dict[str, object]:
+        # One merged stream per run: nothing to overlap, so fold in-process.
+        folded = [_fold_ordered(paths, pipelines, predicates, ctx)]
         return self._merge_and_finalize(pipelines, folded, ctx)
 
     def _merge_and_finalize(self, pipelines, folded,

@@ -16,6 +16,7 @@ Experiment protocol (paper section 3.5):
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
@@ -204,6 +205,8 @@ class ExperimentRunner:
         self.obs = obs
         #: ObsRecorder of the most recent run (None without obs)
         self.last_obs = None
+        #: cluster of the most recent run (None before the first)
+        self.last_cluster = None
         self._recorder = None
         self._wall_start = 0.0
 
@@ -314,6 +317,7 @@ class ExperimentRunner:
                 else ObsRecorder()
             registry = self._recorder.registry
         self.last_obs = self._recorder
+        self._drop_last_cluster()
         self._wall_start = perf_counter()
         sim = Simulator(obs=registry,
                         queue=self.scenario.engine.event_queue)
@@ -322,6 +326,18 @@ class ExperimentRunner:
         #: (filesystem checks, kernel statistics)
         self.last_cluster = cluster
         return sim, cluster
+
+    def _drop_last_cluster(self) -> None:
+        """Free the previous run's cluster before the next one is built.
+
+        A cluster is full of reference cycles (simulator, processes,
+        kernels), so dropping the reference alone leaves it to a full
+        garbage collection that may come several runs later; until
+        then it lives on beside the new cluster.  Collect it now.
+        """
+        if self.last_cluster is not None:
+            self.last_cluster = None
+            gc.collect()
 
     def _settle(self, sim: Simulator, cluster: BeowulfCluster,
                 setup_procs: Optional[list] = None) -> None:
@@ -355,7 +371,7 @@ class ExperimentRunner:
             path = self._checkpoint_target(checkpoint_dir, "baseline")
             self._baseline_epochs(sim, cluster, t0=t0, every=checkpoint_every,
                                   duration=duration, path=path)
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        trace = self._gather(cluster, duration)
         result = ExperimentResult(name="baseline", trace=trace,
                                   duration=duration, nnodes=self.nnodes)
         self._finish_capture(capture, cluster, result)
@@ -407,7 +423,7 @@ class ExperimentRunner:
         # Grace period: let the write-back daemons flush the tail.
         sim.run(until=finish + self.flush_grace)
         duration = finish - t0 + self.flush_grace
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        trace = self._gather(cluster, duration)
         result = ExperimentResult(
             name=name or app_names[0],
             trace=trace,
@@ -417,6 +433,14 @@ class ExperimentRunner:
         )
         self._finish_capture(capture, cluster, result)
         return result
+
+    def _gather(self, cluster: BeowulfCluster,
+                duration: float) -> TraceDataset:
+        """The run's trace; the nodes' buffers are released afterwards,
+        since every record now lives in the returned dataset."""
+        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        cluster.release_traces()
+        return trace
 
     def _spawn_apps(self, cluster: BeowulfCluster, apps, app_names, serial):
         """Spawn the application processes; identical on first run and
@@ -494,9 +518,10 @@ class ExperimentRunner:
             sim.settle()
             meta = self._ckpt_meta(kind="baseline", name="baseline", t0=t0,
                                    every=every, epoch=k, duration=duration)
-            tree = capture_state(sim, cluster, obs=self._registry(),
-                                 meta=meta)
-            save_checkpoint(tree, path)
+            # no name binds the tree: the next epoch's capture must not
+            # run while this one is still alive
+            save_checkpoint(capture_state(sim, cluster, obs=self._registry(),
+                                          meta=meta), path)
 
     def _apps_epochs(self, sim: Simulator, cluster: BeowulfCluster, *,
                      coordinator: CheckpointCoordinator, apps, t0: float,
@@ -527,9 +552,9 @@ class ExperimentRunner:
             meta = self._ckpt_meta(kind="apps", name=name, t0=t0,
                                    every=every, epoch=k,
                                    app_names=app_names, serial=serial)
-            tree = capture_state(sim, cluster, apps=app_map,
-                                 obs=self._registry(), meta=meta)
-            save_checkpoint(tree, path)
+            save_checkpoint(capture_state(sim, cluster, apps=app_map,
+                                          obs=self._registry(), meta=meta),
+                            path)
             coordinator.release()
 
     # -- resume ----------------------------------------------------------------
@@ -580,6 +605,7 @@ class ExperimentRunner:
                 else ObsRecorder()
             registry = self._recorder.registry
         self.last_obs = self._recorder
+        self._drop_last_cluster()
         self._wall_start = perf_counter()
         sim = Simulator(obs=registry,
                         queue=self.scenario.engine.event_queue)
@@ -629,7 +655,7 @@ class ExperimentRunner:
                 else self._checkpoint_target(checkpoint_dir, "baseline")
             self._baseline_epochs(sim, cluster, t0=t0, every=every,
                                   duration=duration, path=path)
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        trace = self._gather(cluster, duration)
         result = ExperimentResult(name="baseline", trace=trace,
                                   duration=duration, nnodes=self.nnodes)
         self._finish_capture(capture, cluster, result)
@@ -685,7 +711,7 @@ class ExperimentRunner:
         finish = sim.now
         sim.run(until=finish + self.flush_grace)
         duration = finish - t0 + self.flush_grace
-        trace = TraceDataset(cluster.gather_traces()).between(0, duration)
+        trace = self._gather(cluster, duration)
         result = ExperimentResult(
             name=name,
             trace=trace,

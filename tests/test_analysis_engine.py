@@ -8,9 +8,12 @@ chunks.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis import (
     AnalysisEngine,
@@ -25,8 +28,9 @@ from repro.core.metrics import compute_metrics
 from repro.core.patterns import arrival_structure
 from repro.core.sizes import class_fractions, size_histogram
 from repro.core.trace import TraceDataset
+from repro.driver import TRACE_DTYPE
 from repro.obs import MetricsRegistry
-from repro.store import RunCatalog, TraceReader
+from repro.store import RunCatalog, TraceReader, TraceWriter
 
 #: small chunks so every run spans several chunks per node file
 CHUNK = 64
@@ -66,14 +70,30 @@ def test_streaming_equals_in_memory_all_five(results, catalog):
         assert out["spatial"].top_20pct_share == \
             spatial.top_20pct_share, name
 
-        arrival = arrival_structure(result.trace)
-        assert out["arrival"].total == arrival.total, name
-        assert out["arrival"].mean_gap == \
-            pytest.approx(arrival.mean_gap, rel=1e-12), name
-        assert out["arrival"].cv_gap == \
-            pytest.approx(arrival.cv_gap, rel=1e-12), name
-        assert out["arrival"].idc == \
-            pytest.approx(arrival.idc, rel=1e-12), name
+        assert_arrival_matches(out["arrival"], result.trace, name)
+
+
+def assert_arrival_matches(report, trace, name):
+    arrival = arrival_structure(trace)
+    assert report.total == arrival.total, name
+    assert report.mean_gap == \
+        pytest.approx(arrival.mean_gap, rel=1e-12), name
+    assert report.cv_gap == pytest.approx(arrival.cv_gap, rel=1e-12), name
+    assert report.idc == pytest.approx(arrival.idc, rel=1e-12), name
+
+
+def test_arrival_equals_in_memory_paper_layout(results, tmp_path_factory):
+    """At the default chunk size each node file is one chunk, the layout
+    real runs are stored in."""
+    catalog = RunCatalog(tmp_path_factory.mktemp("paper_layout"))
+    for result in results.values():
+        catalog.save(result)
+    engine = AnalysisEngine(catalog, cache=False)
+    for name, result in results.items():
+        for path in catalog.trace_paths(name).values():
+            assert scan_file(path).chunk_count == 1, name
+        out = engine.analyze(name, ["arrival"])
+        assert_arrival_matches(out["arrival"], result.trace, name)
 
 
 def test_parallel_engine_matches_serial(results, catalog):
@@ -246,3 +266,61 @@ def test_scan_file_signature_is_cheap_and_stable(catalog):
 def test_unknown_pipeline_rejected():
     with pytest.raises(ValueError, match="unknown pipeline"):
         make_pipelines(["bogus"])
+
+
+@st.composite
+def node_streams(draw):
+    """k sorted node streams on a coarse time grid (heavy ties within and
+    across streams), each with its own chunk size, some of them empty."""
+    streams = []
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(0, 40))
+        records = np.zeros(n, dtype=TRACE_DTYPE)
+        ticks = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+        records["time"] = np.sort(np.array(ticks, dtype=np.float64)) * 0.5
+        records["node"] = draw(st.lists(st.integers(0, 2),
+                                        min_size=n, max_size=n))
+        records["write"] = draw(st.lists(st.booleans(),
+                                         min_size=n, max_size=n))
+        streams.append((records, draw(st.integers(1, 8))))
+    return streams
+
+
+@settings(max_examples=150, deadline=None)
+@given(streams=node_streams(),
+       t0=st.none() | st.integers(0, 7).map(lambda t: t * 0.5),
+       t1=st.none() | st.integers(0, 13).map(lambda t: t * 0.5),
+       node=st.none() | st.integers(0, 2),
+       write=st.none() | st.booleans())
+def test_merged_time_blocks_property(streams, t0, t1, node, write):
+    predicates = {"t0": t0, "t1": t1, "node": node, "write": write}
+    expected = []
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for i, (records, chunk_records) in enumerate(streams):
+            path = Path(tmp) / f"node_{i:04d}.rpt"
+            with TraceWriter(path, chunk_records=chunk_records) as writer:
+                writer.append_array(records)
+            paths.append(path)
+            keep = np.ones(len(records), dtype=bool)
+            if t0 is not None:
+                keep &= records["time"] >= t0
+            if t1 is not None:
+                keep &= records["time"] < t1
+            if node is not None:
+                keep &= records["node"] == node
+            if write is not None:
+                keep &= records["write"] == write
+            expected.append(records["time"][keep])
+        readers = [TraceReader(path) for path in paths]
+        try:
+            blocks = list(merged_time_blocks(readers, **predicates))
+            chunks_read = sum(reader.chunks_read for reader in readers)
+        finally:
+            for reader in readers:
+                reader.close()
+    merged = np.concatenate(blocks) if blocks else np.zeros(0)
+    assert np.array_equal(merged, np.sort(np.concatenate(expected)))
+    for block in blocks:
+        assert len(block) and np.all(np.diff(block) >= 0)
+    assert len(blocks) <= chunks_read

@@ -6,6 +6,7 @@ per-app statistics must equal the uninterrupted run's exactly, for every
 disk scheduler and both event-queue engines.
 """
 
+import copy
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.core.experiments as experiments_module
 from repro.checkpoint import (
     CheckpointError,
     capture_state,
@@ -112,6 +114,33 @@ def test_restore_is_idempotent(tmp_path, scheduler, engine):
     again = capture_state(sim, cluster, obs=fresh._registry(),
                           meta=tree["meta"])
     assert tree_equal(tree, again)
+
+
+@pytest.mark.parametrize("experiment,kwargs", [
+    ("baseline", {"duration": 12.0, "checkpoint_every": 5.0}),
+    ("ppm", {"checkpoint_every": 0.05}),
+    ("wavelet", {"checkpoint_every": 30.0}),
+])
+def test_captured_tree_does_not_alias_live_state(tmp_path, monkeypatch,
+                                                 experiment, kwargs):
+    """capture_state checks its tree in place instead of copying it, so
+    no layer may hand out live containers or arrays: the 2-node stack
+    runs on after every capture, and each captured tree must still
+    equal the deep copy taken when it was captured."""
+    captured = []
+    real_save = experiments_module.save_checkpoint
+
+    def keep(tree, path):
+        captured.append((tree, copy.deepcopy(tree)))
+        return real_save(tree, path)
+
+    monkeypatch.setattr(experiments_module, "save_checkpoint", keep)
+    sc = scenario(extra=TINY_PPM if experiment == "ppm" else None)
+    ExperimentRunner(scenario=sc, obs=True).run(
+        experiment, checkpoint_dir=tmp_path / "ck", **kwargs)
+    assert len(captured) >= 2
+    for tree, at_capture in captured:
+        assert tree_equal(tree, at_capture)
 
 
 def test_resume_in_fresh_process_is_bit_identical(tmp_path):
