@@ -50,6 +50,12 @@ class Registry:
 
     Re-registering a taken name raises unless ``replace=True`` — silent
     shadowing of a built-in is almost always a bug.
+
+    A component that keeps simulation state (a drive cache, say) takes
+    part in checkpoints through ``snapshot_state()`` /
+    ``restore_state(state)``.  ``snapshot_state()`` must return fresh
+    containers and arrays, never live ones: the capture does not copy
+    them (see :func:`repro.checkpoint.capture_state`).
     """
 
     def __init__(self, kind: str):

@@ -49,6 +49,14 @@ def test_clear_resets():
     assert buf.to_array().shape == (0,)
 
 
+def test_clear_gives_back_grown_storage():
+    buf = TraceBuffer(initial_capacity=4)
+    buf.extend(TraceRecord(float(i), i, False, 0, 1.0) for i in range(9))
+    assert buf.capacity == 16
+    buf.clear()
+    assert buf.capacity == 4
+
+
 def test_extend():
     buf = TraceBuffer()
     buf.extend(TraceRecord(float(i), i, False, 0, 1.0) for i in range(3))
