@@ -33,7 +33,6 @@ from repro.disk import (DRIVE_CACHES, SCHEDULERS, SECTOR_BYTES,
 from repro.disk.volume import capacity_sectors
 from repro.kernel.params import DiskLayout, NodeParams
 from repro.registry import UnknownComponentError
-from repro.sim.core import QUEUE_KINDS
 
 
 class ConfigError(ValueError):
@@ -590,22 +589,23 @@ class ExperimentConfig:
                f"must be >= 0, got {self.flush_grace}")
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Simulation-engine knobs (no effect on *what* is simulated).
+#: event queues the retired ``[engine]`` table could name; both fired
+#: events in the same order as the one engine left, so scenario files and
+#: manifests naming either still load, and the table is dropped
+_RETIRED_EVENT_QUEUES = ("calendar", "heap")
 
-    ``event_queue`` selects the :class:`~repro.sim.core.Simulator`'s
-    scheduling structure: the calendar queue (default, fast) or the
-    binary heap (reference fallback).  Both produce identical event
-    orderings, so this knob never changes results — only wall-clock.
-    """
 
-    event_queue: str = "calendar"
-
-    def validate(self, path: str) -> None:
-        _check(self.event_queue in QUEUE_KINDS, f"{path}.event_queue",
-               f"unknown event queue {self.event_queue!r}; "
-               f"valid kinds: {list(QUEUE_KINDS)}")
+def _check_retired_engine(data: Any, path: str) -> None:
+    """Validate a retired ``engine`` table, which is then ignored."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(path, f"expected a table/object, got "
+                                f"{type(data).__name__}")
+    for key, value in data.items():
+        _check(key == "event_queue", f"{path}.{key}",
+               "unknown field; valid fields: ['event_queue']")
+        _check(value in _RETIRED_EVENT_QUEUES, f"{path}.event_queue",
+               f"unknown event queue {value!r}; "
+               f"valid kinds: {list(_RETIRED_EVENT_QUEUES)}")
 
 
 @dataclass(frozen=True)
@@ -620,7 +620,6 @@ class Scenario:
     pious: PiousConfig = field(default_factory=PiousConfig)
     workload: WorkloadConfig = field(default_factory=WorkloadConfig)
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    engine: EngineConfig = field(default_factory=EngineConfig)
     #: heterogeneous clusters: node id (decimal string) -> overrides of
     #: that node's config, as ``node``-rooted dotted paths (applied in
     #: insertion order), e.g. ``{"3": {"disks[0].media_error_rate": 0.1}}``
@@ -635,7 +634,6 @@ class Scenario:
         self.pious.validate("scenario.pious", nnodes=self.cluster.nnodes)
         self.workload.validate("scenario.workload")
         self.experiment.validate("scenario.experiment")
-        self.engine.validate("scenario.engine")
         for key in self.node_overrides:
             if not str(key).isdigit():
                 raise ConfigError(f"scenario.node_overrides.{key}",
@@ -643,6 +641,14 @@ class Scenario:
             self.node_config_for(int(key)).validate(
                 f"scenario.node_overrides.{key}")
         return self
+
+    @staticmethod
+    def _normalize_config_dict(data: Mapping, path: str) -> Mapping:
+        """Drop the retired ``engine`` table once it checks out."""
+        if "engine" in data:
+            _check_retired_engine(data["engine"], f"{path}.engine")
+            data = {k: v for k, v in data.items() if k != "engine"}
+        return data
 
     # -- resolution ---------------------------------------------------------
     def node_params(self) -> NodeParams:
@@ -661,15 +667,12 @@ class Scenario:
         return node
 
     def fingerprint(self) -> str:
-        """Stable digest of the resolved stack (the ``name`` label,
-        random seed, and engine knobs are excluded: they don't change
-        what the machinery *is* — both event queues produce identical
-        results — and analysis caches should survive relabeling or an
-        engine switch)."""
+        """Stable digest of the resolved stack (the ``name`` label and
+        random seed are excluded: they don't change what the machinery
+        *is*, and analysis caches should survive relabeling)."""
         data = self.to_dict()
         data.pop("name", None)
         data.pop("seed", None)
-        data.pop("engine", None)
         canonical = json.dumps(data, sort_keys=True,
                                separators=(",", ":"))
         return hashlib.sha1(canonical.encode()).hexdigest()[:12]
@@ -686,6 +689,11 @@ class Scenario:
         ``node[3].``-prefixed path lands in :attr:`node_overrides` so a
         single node can diverge from the rest of the cluster.
         """
+        head, _, rest = path.partition(".")
+        if head == "engine":
+            _check_retired_engine({rest: value} if rest else value,
+                                  "scenario.engine")
+            return self
         match = _NODE_OVERRIDE_PATH.match(path)
         if match:
             node_id, sub = match.group("node"), match.group("rest")

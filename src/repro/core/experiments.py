@@ -319,8 +319,7 @@ class ExperimentRunner:
         self.last_obs = self._recorder
         self._drop_last_cluster()
         self._wall_start = perf_counter()
-        sim = Simulator(obs=registry,
-                        queue=self.scenario.engine.event_queue)
+        sim = Simulator(obs=registry)
         cluster = BeowulfCluster(sim, scenario=self.scenario, obs=registry)
         #: the most recent cluster, kept for post-experiment inspection
         #: (filesystem checks, kernel statistics)
@@ -568,7 +567,9 @@ class ExperimentRunner:
             raise CheckpointError(
                 f"checkpoint is for experiment {meta['experiment']!r}, "
                 f"not {name!r}")
-        if meta["scenario"] != self.scenario.to_dict():
+        saved = dict(meta["scenario"])
+        saved.pop("engine", None)   # retired knob, still in old checkpoints
+        if saved != self.scenario.to_dict():
             raise CheckpointError(
                 "checkpoint was captured under a different scenario; "
                 "construct the runner from the same one to resume")
@@ -607,8 +608,7 @@ class ExperimentRunner:
         self.last_obs = self._recorder
         self._drop_last_cluster()
         self._wall_start = perf_counter()
-        sim = Simulator(obs=registry,
-                        queue=self.scenario.engine.event_queue)
+        sim = Simulator(obs=registry)
         sim.restore_clock(tree["clock"])
         arm_tick_preloads(sim, tree)
         cluster = BeowulfCluster(sim, scenario=self.scenario, obs=registry)

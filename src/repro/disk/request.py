@@ -35,9 +35,6 @@ class IORequest:
     #: set by the device when the transfer failed (media error); the
     #: request still completes (the drive reports the error after trying)
     failed: bool = False
-    #: arrival stamp set by the queue discipline; schedulers use it to
-    #: restore arrival order when a drained batch is handed back
-    seq: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sector < 0:

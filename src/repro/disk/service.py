@@ -157,56 +157,6 @@ class DiskServiceModel:
                 + float(rng.random()) * tables.rotation_time
                 + request.nsectors * 512 / tables.rate_scalar[target])
 
-    def service_components(self, requests, head_cylinder: int):
-        """Vectorized seek/transfer components for a run of requests.
-
-        Returns ``(base, transfer)`` numpy arrays where ``base[i]`` is
-        controller overhead plus seek time and ``transfer[i]`` the media
-        transfer time of ``requests[i]``.  The head position *carries*
-        through the run: request ``i`` seeks from where request ``i-1``
-        ends (``head_cylinder`` seeds the first), the same invariant the
-        device maintains when servicing one request at a time.  Each
-        element uses the identical table lookups and operation order as
-        :meth:`service_time`, so ``(base[i] + rotation) + transfer[i]``
-        reproduces the scalar result bit-for-bit.
-        """
-        tables = self.tables
-        n = len(requests)
-        if n == 0:
-            empty = np.empty(0, dtype=np.float64)
-            return empty, empty
-        spc = tables.sectors_per_cylinder
-        sectors = np.fromiter((r.sector for r in requests),
-                              dtype=np.int64, count=n)
-        nsectors = np.fromiter((r.nsectors for r in requests),
-                               dtype=np.int64, count=n)
-        targets = sectors // spc
-        heads = np.empty(n, dtype=np.int64)
-        heads[0] = head_cylinder
-        if n > 1:
-            # cylinder holding each predecessor's last sector
-            heads[1:] = (sectors[:-1] + nsectors[:-1] - 1) // spc
-        base = self.controller_overhead + tables.seek[np.abs(targets - heads)]
-        transfer = nsectors * 512 / tables.rate[targets]
-        return base, transfer
-
-    def service_durations(self, requests, head_cylinder: int, rng):
-        """Service times for requests serviced back-to-back, in one call.
-
-        The batched counterpart of :meth:`service_time`: seek and
-        transfer terms come from :meth:`service_components` in one
-        vectorized pass; the rotational-latency draws stay scalar and
-        *in service order* so the RNG stream consumes exactly as the
-        per-request path would (the draws are the only stateful part).
-        Returns a float64 array, bit-identical element-wise to ``n``
-        sequential ``service_time`` calls with head carry.
-        """
-        base, transfer = self.service_components(requests, head_cylinder)
-        rotation = self.tables.rotation_time
-        for i in range(len(base)):
-            base[i] = (base[i] + float(rng.random()) * rotation) + transfer[i]
-        return base
-
     def average_random_seek(self) -> float:
         """Expected seek over uniformly random cylinder pairs (sanity aid).
 

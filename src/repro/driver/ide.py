@@ -184,7 +184,6 @@ class InstrumentedIDEDriver:
         request.origin = origin
         request.done = None
         request.failed = False
-        request.seq = 0
         self.requests_issued += 1
         if self._basic:
             # Pending count *includes* this request, i.e. "remaining I/O

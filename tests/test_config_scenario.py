@@ -1,6 +1,7 @@
 """Scenario tree: round-trips, validation paths, registry resolution."""
 
 import dataclasses
+import json
 
 import pytest
 
@@ -177,14 +178,42 @@ def test_registries_expose_builtins():
     assert isinstance(SCHEDULERS.create("fifo"), FIFOScheduler)
 
 
-# -- engine selection ---------------------------------------------------------
-def test_engine_defaults_to_calendar_and_round_trips():
-    scenario = Scenario().validate()
-    assert scenario.engine.event_queue == "calendar"
-    heap = scenario.with_override("engine.event_queue", "heap")
-    assert heap.engine.event_queue == "heap"
-    assert Scenario.from_dict(heap.to_dict()) == heap
-    assert Scenario.from_toml(heap.to_toml()) == heap
+# -- the retired engine table ------------------------------------------------
+@pytest.mark.parametrize("kind", ["calendar", "heap"])
+def test_retired_engine_table_loads_and_is_dropped(kind):
+    # scenario files written while two event queues existed still load;
+    # the table is dropped and the stack (and its fingerprint) unchanged
+    text = Scenario().to_toml() + f'\n[engine]\nevent_queue = "{kind}"\n'
+    loaded = Scenario.from_toml(text)
+    assert loaded == Scenario()
+    assert loaded.fingerprint() == Scenario().fingerprint()
+    assert Scenario().with_override("engine.event_queue", kind) == Scenario()
+
+
+def test_retired_engine_table_rejects_other_keys():
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict({"engine": {"event_queue": "heap",
+                                       "buckets": 64}})
+    assert err.value.path == "scenario.engine.buckets"
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict({"engine": {"event_queue": "splaytree"}})
+    assert err.value.path == "scenario.engine.event_queue"
+    with pytest.raises(ConfigError) as err:
+        Scenario.from_dict({"engine": "heap"})
+    assert err.value.path == "scenario.engine"
+
+
+def test_manifest_naming_an_engine_still_loads(tmp_path):
+    from repro.store.catalog import MANIFEST_NAME, RunCatalog
+    block = Scenario().to_dict()
+    block["engine"] = {"event_queue": "calendar"}
+    run = tmp_path / "baseline"
+    run.mkdir()
+    (run / MANIFEST_NAME).write_text(json.dumps(
+        {"format": "repro-run-v2", "scenario": block}))
+    loaded = RunCatalog(tmp_path).scenario("baseline")
+    assert loaded == Scenario()
+    assert loaded.fingerprint() == Scenario().fingerprint()
 
 
 def test_unknown_event_queue_names_exact_path():
@@ -196,8 +225,6 @@ def test_unknown_event_queue_names_exact_path():
     assert "heap" in str(err.value)   # the menu is listed
 
 
-def test_event_queue_sweep_alias_resolves():
-    from repro.config import GRID_ALIASES, parse_axis_spec
-    axis = parse_axis_spec("event_queue=calendar,heap")
-    assert axis.path == GRID_ALIASES["event_queue"] == "engine.event_queue"
-    assert axis.values == ("calendar", "heap")
+def test_event_queue_is_not_a_sweep_alias():
+    from repro.config import GRID_ALIASES
+    assert "event_queue" not in GRID_ALIASES

@@ -44,7 +44,6 @@ PUBLIC_API = {
         "DiskConfig",
         "DriveCacheConfig",
         "DriverConfig",
-        "EngineConfig",
         "ExperimentConfig",
         "GRID_ALIASES",
         "LayoutConfig",
@@ -64,6 +63,22 @@ PUBLIC_API = {
         "render_sweep_table",
         "run_sweep",
         "sweep_to_json",
+    ],
+    "repro.sim": [
+        "AllOf",
+        "AnyOf",
+        "BatchedDraws",
+        "Event",
+        "Interrupt",
+        "Process",
+        "RandomStreams",
+        "Resource",
+        "SimulationError",
+        "Simulator",
+        "Store",
+        "Tick",
+        "Timeout",
+        "uniform_index_drawer",
     ],
     "repro.analysis": [
         "Accumulator",
